@@ -94,6 +94,17 @@ BlockTridiag deserialize_hermitian(const std::vector<cplx>& flat,
   return out;
 }
 
+namespace {
+
+/// Give an energy-major stack the shape [ne][nk], keeping the storage it
+/// already has (callers overwrite every slot).
+void shape_stack(std::vector<std::vector<cplx>>& x, int ne, std::int64_t nk) {
+  x.resize(static_cast<std::size_t>(ne));
+  for (auto& row : x) row.resize(static_cast<std::size_t>(nk));
+}
+
+}  // namespace
+
 void GwEngine::polarization(const std::vector<std::vector<cplx>>& g_lt,
                             const std::vector<std::vector<cplx>>& g_gt,
                             std::vector<std::vector<cplx>>& p_lt,
@@ -102,21 +113,22 @@ void GwEngine::polarization(const std::vector<std::vector<cplx>>& g_lt,
   const int ne = grid_.n;
   const std::int64_t nk = layout_.num_elements();
   QTX_CHECK(static_cast<int>(g_lt.size()) == ne);
-  p_lt.assign(ne, std::vector<cplx>(nk));
-  p_gt.assign(ne, std::vector<cplx>(nk));
-  p_r.assign(ne, std::vector<cplx>(nk));
-  std::vector<cplx> series_lt(ne), series_gt(ne), out_lt, out_gt, out_r;
+  shape_stack(p_lt, ne, nk);
+  shape_stack(p_gt, ne, nk);
+  shape_stack(p_r, ne, nk);
+  in_lt_.resize(ne);
+  in_gt_.resize(ne);
   for (std::int64_t k = 0; k < nk; ++k) {
     for (int e = 0; e < ne; ++e) {
-      series_lt[e] = g_lt[e][k];
-      series_gt[e] = g_gt[e][k];
+      in_lt_[e] = g_lt[e][k];
+      in_gt_[e] = g_gt[e][k];
     }
-    conv_.polarization(series_lt, series_gt, out_lt, out_gt);
-    conv_.retarded_boson(out_lt, out_gt, out_r);
+    conv_.polarization(in_lt_, in_gt_, out_lt_, out_gt_);
+    conv_.retarded_boson(out_lt_, out_gt_, out_r_);
     for (int e = 0; e < ne; ++e) {
-      p_lt[e][k] = out_lt[e];
-      p_gt[e][k] = out_gt[e];
-      p_r[e][k] = out_r[e];
+      p_lt[e][k] = out_lt_[e];
+      p_gt[e][k] = out_gt_[e];
+      p_r[e][k] = out_r_[e];
     }
   }
 }
@@ -134,31 +146,33 @@ void GwEngine::self_energy(const std::vector<std::vector<cplx>>& g_lt,
   const int ne = grid_.n;
   const std::int64_t nk = layout_.num_elements();
   QTX_CHECK(static_cast<std::int64_t>(v_elements.size()) == nk);
-  s_lt.assign(ne, std::vector<cplx>(nk));
-  s_gt.assign(ne, std::vector<cplx>(nk));
-  s_r.assign(ne, std::vector<cplx>(nk));
-  s_fock.assign(nk, cplx(0.0));
+  QTX_CHECK(static_cast<int>(s_lt.size()) == ne &&
+            static_cast<int>(s_gt.size()) == ne &&
+            static_cast<int>(s_r.size()) == ne &&
+            static_cast<std::int64_t>(s_fock.size()) == nk);
   const cplx fock_pref = kI * grid_.de() / (2.0 * kPi) * fock_scale;
-  std::vector<cplx> glt(ne), ggt(ne), wlt(ne), wgt(ne);
-  std::vector<cplx> out_lt, out_gt, out_r;
+  in_lt_.resize(ne);
+  in_gt_.resize(ne);
+  in_wlt_.resize(ne);
+  in_wgt_.resize(ne);
   for (std::int64_t k = 0; k < nk; ++k) {
     for (int e = 0; e < ne; ++e) {
-      glt[e] = g_lt[e][k];
-      ggt[e] = g_gt[e][k];
-      wlt[e] = w_lt[e][k];
-      wgt[e] = w_gt[e][k];
+      in_lt_[e] = g_lt[e][k];
+      in_gt_[e] = g_gt[e][k];
+      in_wlt_[e] = w_lt[e][k];
+      in_wgt_[e] = w_gt[e][k];
     }
     // Fold through the shared ordered reduction (ascending energy index,
     // bit-identical to the historic running sum).
-    const cplx gsum = ordered_sum(glt);
-    conv_.self_energy(glt, ggt, wlt, wgt, out_lt, out_gt);
-    conv_.retarded_fermion(out_lt, out_gt, out_r);
+    const cplx gsum = ordered_sum(in_lt_);
+    conv_.self_energy(in_lt_, in_gt_, in_wlt_, in_wgt_, out_lt_, out_gt_);
+    conv_.retarded_fermion(out_lt_, out_gt_, out_r_);
     for (int e = 0; e < ne; ++e) {
-      s_lt[e][k] = out_lt[e];
-      s_gt[e][k] = out_gt[e];
-      s_r[e][k] = out_r[e];
+      s_lt[e][k] += out_lt_[e];
+      s_gt[e][k] += out_gt_[e];
+      s_r[e][k] += out_r_[e];
     }
-    s_fock[k] = fock_pref * v_elements[k] * gsum;
+    s_fock[k] += fock_pref * v_elements[k] * gsum;
   }
 }
 

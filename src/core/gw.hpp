@@ -61,16 +61,20 @@ class GwEngine {
 
   const SymLayout& layout() const { return layout_; }
 
-  /// P≶(w>=0) and the bosonic jump d_P = P> - P< per element.
+  /// P≶(w>=0) and the retarded P^R(w>=0) per element. The output stacks
+  /// are shaped [ne][nk] on first use and overwritten in place afterwards,
+  /// so a caller that keeps them across iterations allocates nothing.
   void polarization(const std::vector<std::vector<cplx>>& g_lt,
                     const std::vector<std::vector<cplx>>& g_gt,
                     std::vector<std::vector<cplx>>& p_lt,
                     std::vector<std::vector<cplx>>& p_gt,
                     std::vector<std::vector<cplx>>& p_r);
 
-  /// Sigma≶(E), the dynamic Sigma^R(E), and the static Fock term
-  /// Sigma^F_ij = (i dE / 2 pi) V_ij sum_E G<_ij(E), all per element.
-  /// \p v_elements is the serialized bare Coulomb matrix.
+  /// Adds Sigma≶(E), the dynamic Sigma^R(E), and the static Fock term
+  /// Sigma^F_ij = (i dE / 2 pi) V_ij sum_E G<_ij(E), all per element, into
+  /// the given stacks (already shaped [ne][nk] and [nk]); each slot receives
+  /// exactly one `+=`, so accumulating into zeroed stacks reproduces the
+  /// plain values. \p v_elements is the serialized bare Coulomb matrix.
   void self_energy(const std::vector<std::vector<cplx>>& g_lt,
                    const std::vector<std::vector<cplx>>& g_gt,
                    const std::vector<std::vector<cplx>>& w_lt,
@@ -85,6 +89,10 @@ class GwEngine {
   EnergyGrid grid_;
   SymLayout layout_;
   fft::EnergyConvolver conv_;
+  /// Element-major series of the element in flight; reused across elements
+  /// and calls.
+  std::vector<cplx> in_lt_, in_gt_, in_wlt_, in_wgt_, out_lt_, out_gt_,
+      out_r_;
 };
 
 /// Materialize the Hermitian Fock matrix from its serialized elements

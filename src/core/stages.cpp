@@ -187,22 +187,10 @@ class GwChannel final : public SelfEnergyChannel {
     QTX_CHECK_MSG(in.w_lesser != nullptr && in.w_greater != nullptr,
                   "the \"gw\" channel needs the screened-interaction stacks; "
                   "the driver must run the P and W stages first");
-    std::vector<std::vector<cplx>> s_lt, s_gt, s_r;
-    std::vector<cplx> s_fock;
     engine_.self_energy(*in.g_lesser, *in.g_greater, *in.w_lesser,
-                        *in.w_greater, *in.v_elements, fock_scale_, s_lt,
-                        s_gt, s_r, s_fock);
-    const int ne = static_cast<int>(s_lt.size());
-    for (int e = 0; e < ne; ++e) {
-      const std::int64_t nk = static_cast<std::int64_t>(s_lt[e].size());
-      for (std::int64_t k = 0; k < nk; ++k) {
-        (*out.s_lesser)[e][k] += s_lt[e][k];
-        (*out.s_greater)[e][k] += s_gt[e][k];
-        (*out.s_retarded)[e][k] += s_r[e][k];
-      }
-    }
-    for (std::size_t k = 0; k < s_fock.size(); ++k)
-      (*out.s_fock)[k] += s_fock[k];
+                        *in.w_greater, *in.v_elements, fock_scale_,
+                        *out.s_lesser, *out.s_greater, *out.s_retarded,
+                        *out.s_fock);
   }
 
  private:

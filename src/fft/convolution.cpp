@@ -1,9 +1,22 @@
 #include "fft/convolution.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "fft/fft.hpp"
 
 namespace qtx::fft {
+
+namespace {
+
+/// Zero-padded load: buf[0, n) = x, buf[n, m) = 0.
+void load_padded(const std::vector<cplx>& x, std::vector<cplx>& buf) {
+  std::copy(x.begin(), x.end(), buf.begin());
+  std::fill(buf.begin() + static_cast<std::ptrdiff_t>(x.size()), buf.end(),
+            cplx(0.0));
+}
+
+}  // namespace
 
 EnergyConvolver::EnergyConvolver(int n_energy, double de)
     : n_(n_energy), de_(de) {
@@ -11,26 +24,10 @@ EnergyConvolver::EnergyConvolver(int n_energy, double de)
   // Sigma needs a length-(3N-2) linear convolution; one padded size serves
   // every kernel.
   m_ = next_pow2(3 * n_ - 2);
+  plan_ = &plan(m_);
   buf_a_.resize(m_);
   buf_b_.resize(m_);
-}
-
-void EnergyConvolver::correlate(const std::vector<cplx>& a,
-                                const std::vector<cplx>& b,
-                                std::vector<cplx>& out) {
-  // Cross-correlation c[k] = sum_m a[m + k] conj(b[m]) via the standard
-  // identity c = IFFT(FFT(a) . conj(FFT(b))). Padding to m_ >= 2N keeps the
-  // circular correlation equal to the linear one on k in [0, N).
-  std::fill(buf_a_.begin(), buf_a_.end(), cplx(0.0));
-  std::fill(buf_b_.begin(), buf_b_.end(), cplx(0.0));
-  std::copy(a.begin(), a.end(), buf_a_.begin());
-  std::copy(b.begin(), b.end(), buf_b_.begin());
-  fft(buf_a_);
-  fft(buf_b_);
-  for (int k = 0; k < m_; ++k) buf_a_[k] *= std::conj(buf_b_[k]);
-  ifft(buf_a_);
-  out.resize(n_);
-  for (int k = 0; k < n_; ++k) out[k] = buf_a_[k];
+  buf_c_.resize(m_);
 }
 
 void EnergyConvolver::polarization(const std::vector<cplx>& g_lt,
@@ -40,11 +37,34 @@ void EnergyConvolver::polarization(const std::vector<cplx>& g_lt,
   QTX_CHECK(static_cast<int>(g_lt.size()) == n_ &&
             static_cast<int>(g_gt.size()) == n_);
   // P<_ij(w) = (i dE/2pi) sum_E G<_ij(E) conj(G>_ij(E - w))
-  //          = (i dE/2pi) sum_m g_lt[m + k] conj(g_gt[m]).
+  //          = (i dE/2pi) sum_m g_lt[m + k] conj(g_gt[m]),
+  // a cross-correlation c[k] = sum_m a[m + k] conj(b[m]) evaluated as
+  // c = IFFT(FFT(a) . conj(FFT(b))); P> swaps the roles of G< and G>. Both
+  // products come from the same two spectra. Padding to m_ >= 2N keeps the
+  // circular correlation equal to the linear one on k in [0, N).
+  load_padded(g_lt, buf_a_);
+  load_padded(g_gt, buf_b_);
+  plan_->forward(buf_a_.data());
+  plan_->forward(buf_b_.data());
+  // buf_c_ = A conj(B), buf_b_ = B conj(A), in split arithmetic with the
+  // complex-multiply order of a * conj(b).
+  const double* a = reinterpret_cast<const double*>(buf_a_.data());
+  double* b = reinterpret_cast<double*>(buf_b_.data());
+  double* c = reinterpret_cast<double*>(buf_c_.data());
+  for (int k = 0; k < 2 * m_; k += 2) {
+    const double ar = a[k], ai = a[k + 1], br = b[k], bi = b[k + 1];
+    const double nai = -ai, nbi = -bi;
+    c[k] = ar * br - ai * nbi;
+    c[k + 1] = ar * nbi + ai * br;
+    b[k] = br * ar - bi * nai;
+    b[k + 1] = br * nai + bi * ar;
+  }
+  plan_->inverse(buf_c_.data());
+  plan_->inverse(buf_b_.data());
   const cplx pref = kI * de_ / (2.0 * kPi);
-  correlate(g_lt, g_gt, p_lt);
+  unload(buf_c_, 0, p_lt);
   for (auto& v : p_lt) v *= pref;
-  correlate(g_gt, g_lt, p_gt);
+  unload(buf_b_, 0, p_gt);
   for (auto& v : p_gt) v *= pref;
 }
 
@@ -75,8 +95,9 @@ void EnergyConvolver::self_energy(const std::vector<cplx>& g_lt,
   QTX_CHECK(static_cast<int>(g_lt.size()) == n_ &&
             static_cast<int>(w_lt.size()) == n_);
   const cplx pref = kI * de_ / (2.0 * kPi);
-  // Full-range bosonic series, index shift s = N-1:
-  //   wfull[k + s] = W(w_k),  k in (-N, N),
+  // Full-range bosonic series, index shift s = N-1, written straight into
+  // the padded workspace:
+  //   buf_b_[k + s] = W(w_k),  k in (-N, N),
   // with negative frequencies from the lesser/greater symmetry.
   const int s = n_ - 1;
   const int full = 2 * n_ - 1;
@@ -84,20 +105,23 @@ void EnergyConvolver::self_energy(const std::vector<cplx>& g_lt,
                            const std::vector<cplx>& w_pos,
                            const std::vector<cplx>& w_other,
                            std::vector<cplx>& out) {
-    std::vector<cplx> wfull(full);
-    for (int k = 0; k < n_; ++k) wfull[k + s] = w_pos[k];
-    for (int k = 1; k < n_; ++k) wfull[s - k] = boson_negative(w_other, k);
-    // Linear convolution c = g * wfull; Sigma(E_n) = pref * c[n + s].
-    std::fill(buf_a_.begin(), buf_a_.end(), cplx(0.0));
-    std::fill(buf_b_.begin(), buf_b_.end(), cplx(0.0));
-    std::copy(g.begin(), g.end(), buf_a_.begin());
-    std::copy(wfull.begin(), wfull.end(), buf_b_.begin());
-    fft(buf_a_);
-    fft(buf_b_);
-    for (int k = 0; k < m_; ++k) buf_a_[k] *= buf_b_[k];
-    ifft(buf_a_);
-    out.resize(n_);
-    for (int i = 0; i < n_; ++i) out[i] = pref * buf_a_[i + s];
+    load_padded(g, buf_a_);
+    for (int k = 0; k < n_; ++k) buf_b_[k + s] = w_pos[k];
+    for (int k = 1; k < n_; ++k) buf_b_[s - k] = boson_negative(w_other, k);
+    std::fill(buf_b_.begin() + full, buf_b_.end(), cplx(0.0));
+    // Linear convolution c = g * W (two-sided); Sigma(E_n) = pref * c[n + s].
+    plan_->forward(buf_a_.data());
+    plan_->forward(buf_b_.data());
+    double* a = reinterpret_cast<double*>(buf_a_.data());
+    const double* b = reinterpret_cast<const double*>(buf_b_.data());
+    for (int k = 0; k < 2 * m_; k += 2) {
+      const double ar = a[k], ai = a[k + 1], br = b[k], bi = b[k + 1];
+      a[k] = ar * br - ai * bi;
+      a[k + 1] = ar * bi + ai * br;
+    }
+    plan_->inverse(buf_a_.data());
+    unload(buf_a_, s, out);
+    for (auto& v : out) v = pref * v;
   };
   convolve_full(g_lt, w_lt, w_gt, s_lt);
   convolve_full(g_gt, w_gt, w_lt, s_gt);
@@ -127,36 +151,37 @@ void EnergyConvolver::self_energy_direct(const std::vector<cplx>& g_lt,
   }
 }
 
-namespace {
+void EnergyConvolver::unload(const std::vector<cplx>& buf, int offset,
+                             std::vector<cplx>& out) const {
+  const double inv_m = 1.0 / static_cast<double>(m_);
+  out.resize(n_);
+  for (int i = 0; i < n_; ++i) out[i] = buf[offset + i] * inv_m;
+}
 
 /// Shared causal-window pipeline: given the jump d(E) = X>(E) - X<(E) laid
-/// out in a zero-padded length-m buffer, overwrite it with the spectrum of
-/// theta(t) d(t).
+/// out in a zero-padded length-m buffer, overwrite it with the (unnormalized,
+/// factor m) spectrum of theta(t) d(t).
 ///
 /// With the convention X(E) = int dt e^{iEt} X(t), "to the time domain" is
 /// the forward FFT (phases e^{-2 pi i q p / m}), so indices q in [0, m/2]
 /// represent t >= 0. Half-weights at q = 0 and q = m/2 make the identity
 /// X^R - X^A = X> - X< hold exactly on the discrete grid.
-void causal_window(std::vector<cplx>& buf) {
-  const int m = static_cast<int>(buf.size());
-  fft(buf);  // energy -> time
-  buf[0] *= 0.5;
-  buf[m / 2] *= 0.5;
-  for (int q = m / 2 + 1; q < m; ++q) buf[q] = cplx(0.0);
-  ifft(buf);  // time -> energy
+void EnergyConvolver::causal_window() {
+  plan_->forward(buf_a_.data());  // energy -> time
+  buf_a_[0] *= 0.5;
+  buf_a_[m_ / 2] *= 0.5;
+  std::fill(buf_a_.begin() + m_ / 2 + 1, buf_a_.end(), cplx(0.0));
+  plan_->inverse(buf_a_.data());  // time -> energy
 }
-
-}  // namespace
 
 void EnergyConvolver::retarded_fermion(const std::vector<cplx>& x_lt,
                                        const std::vector<cplx>& x_gt,
                                        std::vector<cplx>& x_r) {
   QTX_CHECK(static_cast<int>(x_lt.size()) == n_);
-  std::fill(buf_a_.begin(), buf_a_.end(), cplx(0.0));
   for (int i = 0; i < n_; ++i) buf_a_[i] = x_gt[i] - x_lt[i];
-  causal_window(buf_a_);
-  x_r.resize(n_);
-  for (int i = 0; i < n_; ++i) x_r[i] = buf_a_[i];
+  std::fill(buf_a_.begin() + n_, buf_a_.end(), cplx(0.0));
+  causal_window();
+  unload(buf_a_, 0, x_r);
 }
 
 void EnergyConvolver::retarded_boson(const std::vector<cplx>& x_lt,
@@ -168,13 +193,12 @@ void EnergyConvolver::retarded_boson(const std::vector<cplx>& x_lt,
   // in time, and the window is a pointwise product there), so no explicit
   // recentring is needed.
   const int s = n_ - 1;
-  std::fill(buf_a_.begin(), buf_a_.end(), cplx(0.0));
   for (int k = 0; k < n_; ++k) buf_a_[k + s] = x_gt[k] - x_lt[k];
   for (int k = 1; k < n_; ++k)
     buf_a_[s - k] = boson_negative(x_lt, k) - boson_negative(x_gt, k);
-  causal_window(buf_a_);
-  x_r.resize(n_);
-  for (int k = 0; k < n_; ++k) x_r[k] = buf_a_[k + s];
+  std::fill(buf_a_.begin() + 2 * n_ - 1, buf_a_.end(), cplx(0.0));
+  causal_window();
+  unload(buf_a_, s, x_r);
 }
 
 }  // namespace qtx::fft

@@ -23,12 +23,21 @@
 /// All routines exist in two versions: FFT-accelerated (O(N log N)) and
 /// direct (O(N^2)) — the latter as a reference for tests and for the paper's
 /// complexity-ablation benchmark.
+///
+/// The FFT versions run on one cached fft::Plan of the padded length and
+/// allocate nothing once the output vectors have their size. polarization
+/// transforms each G series once and builds both P< and P> from the two
+/// spectra. Spectral products use the same split arithmetic as the
+/// butterflies, so every output is bit-identical to the one-correlation-
+/// per-component formulation kept as the oracle in tests/test_fft.cpp.
 
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace qtx::fft {
+
+class Plan;
 
 /// Per-element convolution workspace. Construct once per (thread, grid) and
 /// reuse across matrix elements; buffers are recycled between calls.
@@ -76,14 +85,19 @@ class EnergyConvolver {
                           std::vector<cplx>& s_lt, std::vector<cplx>& s_gt);
 
  private:
-  /// Cross-correlation c[k] = sum_m a[m + k] b[m], k in [0, N), via FFT.
-  void correlate(const std::vector<cplx>& a, const std::vector<cplx>& b,
-                 std::vector<cplx>& out);
+  /// Causal window (theta(t)) applied in place to the jump in buf_a_.
+  void causal_window();
+
+  /// out[i] = buf[offset + i] / m for i in [0, N): the 1/m normalization of
+  /// an inverse transform, applied only to the entries a kernel keeps.
+  void unload(const std::vector<cplx>& buf, int offset,
+              std::vector<cplx>& out) const;
 
   int n_;
   double de_;
   int m_;  ///< padded FFT length
-  std::vector<cplx> buf_a_, buf_b_;
+  const Plan* plan_;  ///< shared tables for length m_
+  std::vector<cplx> buf_a_, buf_b_, buf_c_;
 };
 
 /// Bosonic negative-frequency extension: value of X<_ij at -w_k given the

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
+#include "common/flops.hpp"
 #include "common/rng.hpp"
 #include "fft/convolution.hpp"
 #include "fft/fft.hpp"
@@ -263,6 +266,332 @@ TEST(Convolver, SelfEnergyPreservesLesserGreaterSymmetry) {
     EXPECT_LT(std::abs(t_lt[k] + std::conj(s_lt[k])), 1e-12 * n);
     EXPECT_LT(std::abs(t_gt[k] + std::conj(s_gt[k])), 1e-12 * n);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity oracle: the planned transform and the allocation-free
+// convolver must return the same bytes as the historic per-call loop. The
+// oracle below is that loop and that per-element algorithm, kept verbatim
+// (std::complex butterflies, twiddles by the running product w *= wlen,
+// one correlation per P component), and results are compared bitwise.
+// ---------------------------------------------------------------------------
+
+namespace oracle {
+
+void fft_pow2(std::vector<cplx>& x, bool inverse) {
+  const int n = static_cast<int>(x.size());
+  for (int i = 1, j = 0; i < n; ++i) {
+    int bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(x[i], x[j]);
+  }
+  for (int len = 2; len <= n; len <<= 1) {
+    const double ang = 2.0 * kPi / len * (inverse ? 1.0 : -1.0);
+    const cplx wlen(std::cos(ang), std::sin(ang));
+    for (int i = 0; i < n; i += len) {
+      cplx w(1.0);
+      for (int j = 0; j < len / 2; ++j) {
+        const cplx u = x[i + j];
+        const cplx v = x[i + j + len / 2] * w;
+        x[i + j] = u + v;
+        x[i + j + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+}
+
+int pow2_at_least(int n) {
+  int p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
+
+void fft_bluestein(std::vector<cplx>& x, bool inverse) {
+  const int n = static_cast<int>(x.size());
+  const int m = pow2_at_least(2 * n - 1);
+  const double sign = inverse ? 1.0 : -1.0;
+  std::vector<cplx> chirp(n);
+  for (int k = 0; k < n; ++k) {
+    const long long k2 = static_cast<long long>(k) * k % (2LL * n);
+    const double ang = sign * kPi * static_cast<double>(k2) / n;
+    chirp[k] = cplx(std::cos(ang), std::sin(ang));
+  }
+  std::vector<cplx> a(m, cplx(0.0)), b(m, cplx(0.0));
+  for (int k = 0; k < n; ++k) a[k] = x[k] * chirp[k];
+  b[0] = std::conj(chirp[0]);
+  for (int k = 1; k < n; ++k) b[k] = b[m - k] = std::conj(chirp[k]);
+  fft_pow2(a, false);
+  fft_pow2(b, false);
+  for (int k = 0; k < m; ++k) a[k] *= b[k];
+  fft_pow2(a, true);
+  const double inv_m = 1.0 / m;
+  for (int k = 0; k < n; ++k) x[k] = a[k] * inv_m * chirp[k];
+}
+
+bool is_pow2(int n) { return n > 0 && (n & (n - 1)) == 0; }
+
+void transform(std::vector<cplx>& x, bool inverse) {
+  if (x.size() <= 1) return;
+  if (is_pow2(static_cast<int>(x.size()))) {
+    fft_pow2(x, inverse);
+  } else {
+    fft_bluestein(x, inverse);
+  }
+  if (!inverse) return;
+  const double inv_n = 1.0 / static_cast<double>(x.size());
+  for (auto& v : x) v *= inv_n;
+}
+
+/// The per-element convolution algorithm as it ran before the planned
+/// workspace: one correlation per P component, a fresh wfull per Sigma
+/// component, ifft-normalized buffers.
+class Convolver {
+ public:
+  Convolver(int n, double de)
+      : n_(n), de_(de), m_(pow2_at_least(3 * n - 2)), a_(m_), b_(m_) {}
+
+  void polarization(const std::vector<cplx>& g_lt,
+                    const std::vector<cplx>& g_gt, std::vector<cplx>& p_lt,
+                    std::vector<cplx>& p_gt) {
+    const cplx pref = kI * de_ / (2.0 * kPi);
+    correlate(g_lt, g_gt, p_lt);
+    for (auto& v : p_lt) v *= pref;
+    correlate(g_gt, g_lt, p_gt);
+    for (auto& v : p_gt) v *= pref;
+  }
+
+  void self_energy(const std::vector<cplx>& g_lt,
+                   const std::vector<cplx>& g_gt,
+                   const std::vector<cplx>& w_lt,
+                   const std::vector<cplx>& w_gt, std::vector<cplx>& s_lt,
+                   std::vector<cplx>& s_gt) {
+    const cplx pref = kI * de_ / (2.0 * kPi);
+    const int s = n_ - 1;
+    const int full = 2 * n_ - 1;
+    auto convolve_full = [&](const std::vector<cplx>& g,
+                             const std::vector<cplx>& w_pos,
+                             const std::vector<cplx>& w_other,
+                             std::vector<cplx>& out) {
+      std::vector<cplx> wfull(full);
+      for (int k = 0; k < n_; ++k) wfull[k + s] = w_pos[k];
+      for (int k = 1; k < n_; ++k) wfull[s - k] = boson_negative(w_other, k);
+      std::fill(a_.begin(), a_.end(), cplx(0.0));
+      std::fill(b_.begin(), b_.end(), cplx(0.0));
+      std::copy(g.begin(), g.end(), a_.begin());
+      std::copy(wfull.begin(), wfull.end(), b_.begin());
+      transform(a_, false);
+      transform(b_, false);
+      for (int k = 0; k < m_; ++k) a_[k] *= b_[k];
+      transform(a_, true);
+      out.resize(n_);
+      for (int i = 0; i < n_; ++i) out[i] = pref * a_[i + s];
+    };
+    convolve_full(g_lt, w_lt, w_gt, s_lt);
+    convolve_full(g_gt, w_gt, w_lt, s_gt);
+  }
+
+  void retarded_fermion(const std::vector<cplx>& x_lt,
+                        const std::vector<cplx>& x_gt,
+                        std::vector<cplx>& x_r) {
+    std::fill(a_.begin(), a_.end(), cplx(0.0));
+    for (int i = 0; i < n_; ++i) a_[i] = x_gt[i] - x_lt[i];
+    causal_window(a_);
+    x_r.resize(n_);
+    for (int i = 0; i < n_; ++i) x_r[i] = a_[i];
+  }
+
+  void retarded_boson(const std::vector<cplx>& x_lt,
+                      const std::vector<cplx>& x_gt, std::vector<cplx>& x_r) {
+    const int s = n_ - 1;
+    std::fill(a_.begin(), a_.end(), cplx(0.0));
+    for (int k = 0; k < n_; ++k) a_[k + s] = x_gt[k] - x_lt[k];
+    for (int k = 1; k < n_; ++k)
+      a_[s - k] = boson_negative(x_lt, k) - boson_negative(x_gt, k);
+    causal_window(a_);
+    x_r.resize(n_);
+    for (int k = 0; k < n_; ++k) x_r[k] = a_[k + s];
+  }
+
+ private:
+  void correlate(const std::vector<cplx>& a, const std::vector<cplx>& b,
+                 std::vector<cplx>& out) {
+    std::fill(a_.begin(), a_.end(), cplx(0.0));
+    std::fill(b_.begin(), b_.end(), cplx(0.0));
+    std::copy(a.begin(), a.end(), a_.begin());
+    std::copy(b.begin(), b.end(), b_.begin());
+    transform(a_, false);
+    transform(b_, false);
+    for (int k = 0; k < m_; ++k) a_[k] *= std::conj(b_[k]);
+    transform(a_, true);
+    out.resize(n_);
+    for (int k = 0; k < n_; ++k) out[k] = a_[k];
+  }
+
+  static void causal_window(std::vector<cplx>& buf) {
+    const int m = static_cast<int>(buf.size());
+    transform(buf, false);
+    buf[0] *= 0.5;
+    buf[m / 2] *= 0.5;
+    for (int q = m / 2 + 1; q < m; ++q) buf[q] = cplx(0.0);
+    transform(buf, true);
+  }
+
+  int n_;
+  double de_;
+  int m_;
+  std::vector<cplx> a_, b_;
+};
+
+}  // namespace oracle
+
+/// Bitwise equality (stricter than ==: also tells -0.0 from +0.0).
+::testing::AssertionResult same_bits(const std::vector<cplx>& got,
+                                     const std::vector<cplx>& want) {
+  if (got.size() != want.size())
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " != " << want.size();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(cplx)) != 0)
+      return ::testing::AssertionFailure()
+             << "first difference at [" << i << "]: got " << got[i]
+             << ", oracle " << want[i];
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Seeded random series whose tail is exact zeros of both signs, so the
+/// signed-zero behaviour of the butterflies is exercised too.
+std::vector<cplx> series_with_zero_tail(int n, Rng& rng) {
+  std::vector<cplx> v = random_series(n, rng);
+  for (int i = n - n / 4; i < n; ++i)
+    v[i] = (i % 2) ? cplx(-0.0, 0.0) : cplx(0.0, -0.0);
+  return v;
+}
+
+TEST(FftOracle, PowerOfTwoTransformsAreBitIdentical) {
+  for (int n = 2; n <= 8192; n <<= 1) {
+    Rng rng(500 + n);
+    const std::vector<cplx> x = series_with_zero_tail(n, rng);
+    std::vector<cplx> got = x, want = x;
+    fft(got);
+    oracle::transform(want, false);
+    EXPECT_TRUE(same_bits(got, want)) << "forward, n=" << n;
+    got = x;
+    want = x;
+    ifft(got);
+    oracle::transform(want, true);
+    EXPECT_TRUE(same_bits(got, want)) << "inverse, n=" << n;
+  }
+}
+
+TEST(FftOracle, BluesteinTransformsAreBitIdentical) {
+  for (int n : {17, 100}) {
+    Rng rng(600 + n);
+    const std::vector<cplx> x = random_series(n, rng);
+    std::vector<cplx> got = x, want = x;
+    fft(got);
+    oracle::transform(want, false);
+    EXPECT_TRUE(same_bits(got, want)) << "forward, n=" << n;
+    got = x;
+    want = x;
+    ifft(got);
+    oracle::transform(want, true);
+    EXPECT_TRUE(same_bits(got, want)) << "inverse, n=" << n;
+  }
+}
+
+class ConvolverOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(ConvolverOracle, PolarizationIsBitIdentical) {
+  const int n = GetParam();
+  Rng rng(700 + n);
+  EnergyConvolver conv(n, 0.01);
+  oracle::Convolver old(n, 0.01);
+  const auto g_lt = random_series(n, rng);
+  const auto g_gt = random_series(n, rng);
+  std::vector<cplx> p_lt, p_gt, q_lt, q_gt;
+  // Twice through the same convolver: the reused workspace must not leak
+  // state from one element into the next.
+  for (int rep = 0; rep < 2; ++rep) {
+    conv.polarization(g_lt, g_gt, p_lt, p_gt);
+    old.polarization(g_lt, g_gt, q_lt, q_gt);
+    EXPECT_TRUE(same_bits(p_lt, q_lt)) << "P<, rep " << rep;
+    EXPECT_TRUE(same_bits(p_gt, q_gt)) << "P>, rep " << rep;
+  }
+}
+
+TEST_P(ConvolverOracle, SelfEnergyIsBitIdentical) {
+  const int n = GetParam();
+  Rng rng(800 + n);
+  EnergyConvolver conv(n, 0.01);
+  oracle::Convolver old(n, 0.01);
+  const auto g_lt = random_series(n, rng);
+  const auto g_gt = random_series(n, rng);
+  const auto w_lt = random_series(n, rng);
+  const auto w_gt = random_series(n, rng);
+  std::vector<cplx> s_lt, s_gt, t_lt, t_gt;
+  for (int rep = 0; rep < 2; ++rep) {
+    conv.self_energy(g_lt, g_gt, w_lt, w_gt, s_lt, s_gt);
+    old.self_energy(g_lt, g_gt, w_lt, w_gt, t_lt, t_gt);
+    EXPECT_TRUE(same_bits(s_lt, t_lt)) << "Sigma<, rep " << rep;
+    EXPECT_TRUE(same_bits(s_gt, t_gt)) << "Sigma>, rep " << rep;
+  }
+}
+
+TEST_P(ConvolverOracle, RetardedReconstructionsAreBitIdentical) {
+  const int n = GetParam();
+  Rng rng(900 + n);
+  EnergyConvolver conv(n, 0.01);
+  oracle::Convolver old(n, 0.01);
+  const auto x_lt = random_series(n, rng);
+  const auto x_gt = random_series(n, rng);
+  std::vector<cplx> got, want;
+  conv.retarded_fermion(x_lt, x_gt, got);
+  old.retarded_fermion(x_lt, x_gt, want);
+  EXPECT_TRUE(same_bits(got, want)) << "fermion";
+  conv.retarded_boson(x_lt, x_gt, got);
+  old.retarded_boson(x_lt, x_gt, want);
+  EXPECT_TRUE(same_bits(got, want)) << "boson";
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ConvolverOracle,
+                         ::testing::Values(1, 2, 7, 64, 100));
+
+TEST(ConvolverOracle, PolarizationTransformsEachSeriesOnce) {
+  // P< and P> share the two forward spectra: 2 forward + 2 inverse
+  // transforms per call (the historic two correlations ran 6). With the
+  // causal window of retarded_boson the per-element P stage runs 6.
+  const int n = 64;
+  const std::int64_t per_transform = flop_count::fft(next_pow2(3 * n - 2));
+  Rng rng(1000);
+  EnergyConvolver conv(n, 0.01);
+  const auto g_lt = random_series(n, rng);
+  const auto g_gt = random_series(n, rng);
+  std::vector<cplx> p_lt, p_gt, p_r;
+  FlopLedger::reset();
+  conv.polarization(g_lt, g_gt, p_lt, p_gt);
+  EXPECT_EQ(FlopLedger::total(), 4 * per_transform);
+  conv.retarded_boson(p_lt, p_gt, p_r);
+  EXPECT_EQ(FlopLedger::total(), 6 * per_transform);
+}
+
+TEST(Fft, NextPow2RejectsLengthsWithoutAnIntPowerOfTwo) {
+  EXPECT_EQ(next_pow2(1), 1);
+  EXPECT_EQ(next_pow2(190), 256);
+  EXPECT_EQ(next_pow2(1 << 30), 1 << 30);
+  EXPECT_THROW(next_pow2(0), std::runtime_error);
+  EXPECT_THROW(next_pow2(-3), std::runtime_error);
+  EXPECT_THROW(next_pow2((1 << 30) + 1), std::runtime_error);
+  EXPECT_THROW(next_pow2(2147483647), std::runtime_error);
+}
+
+TEST(Fft, PlanRejectsNonPowerOfTwoLengths) {
+  EXPECT_THROW(plan(12), std::runtime_error);
+  EXPECT_THROW(plan(0), std::runtime_error);
+  EXPECT_EQ(plan(64).size(), 64);
+  EXPECT_EQ(&plan(64), &plan(64));
 }
 
 }  // namespace

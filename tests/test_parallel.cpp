@@ -1,7 +1,8 @@
 // Tests for the parallel energy-loop execution engine: the work-stealing
 // par::ThreadPool, the energy_grid.hpp batching properties, the executor
-// registry keys, and — the load-bearing guarantee — bit-identical
-// TransportResults for every thread count on all three stop-reason paths.
+// registry keys, the process-wide FFT plan cache under concurrent first use,
+// and — the load-bearing guarantee — bit-identical TransportResults for
+// every thread count on all three stop-reason paths.
 
 #include <gtest/gtest.h>
 
@@ -9,14 +10,17 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/flops.hpp"
+#include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/observables.hpp"
 #include "core/simulation.hpp"
+#include "fft/fft.hpp"
 #include "par/thread_pool.hpp"
 
 namespace qtx::core {
@@ -151,6 +155,58 @@ TEST(ThreadPool, RejectsNonPositiveWorkerCount) {
   EXPECT_THROW(par::ThreadPool(0), std::runtime_error);
   EXPECT_THROW(par::ThreadPool(-2), std::runtime_error);
   EXPECT_GE(par::ThreadPool::hardware_threads(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// FFT plan cache
+// ---------------------------------------------------------------------------
+
+/// Forward then inverse transforms of one seeded series per length, through
+/// the free fft::fft / fft::ifft (and so through the shared plan cache).
+std::vector<std::vector<cplx>> transform_lengths(const std::vector<int>& ns) {
+  std::vector<std::vector<cplx>> out;
+  for (int n : ns) {
+    Rng rng(31 + n);
+    std::vector<cplx> x(static_cast<std::size_t>(n));
+    for (auto& v : x) v = rng.complex_uniform();
+    fft::fft(x);
+    out.push_back(x);
+    fft::ifft(x);
+    out.push_back(x);
+  }
+  return out;
+}
+
+TEST(FftPlanCache, ConcurrentFirstUseMatchesSingleThreadedRun) {
+  // Every thread walks the same lengths from a different starting point, so
+  // several threads race to build each plan on first use (this test runs in
+  // a fresh process, so the cache starts empty). Bluestein lengths (12, 100)
+  // reach the cache through their padded power-of-two transform.
+  const std::vector<int> lengths = {2,  4,  8,   16,  32,   64,  128, 256,
+                                    512, 1024, 2048, 4096, 12, 100};
+  const int num_threads = 4;
+  std::vector<std::vector<int>> orders(num_threads);
+  for (int t = 0; t < num_threads; ++t) {
+    for (std::size_t i = 0; i < lengths.size(); ++i)
+      orders[t].push_back(
+          lengths[(i + static_cast<std::size_t>(3 * t)) % lengths.size()]);
+  }
+  std::vector<std::vector<std::vector<cplx>>> got(num_threads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < num_threads; ++t)
+    threads.emplace_back([&, t] { got[t] = transform_lengths(orders[t]); });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < num_threads; ++t) {
+    const std::vector<std::vector<cplx>> want = transform_lengths(orders[t]);
+    ASSERT_EQ(got[t].size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[t][i].size(), want[i].size());
+      EXPECT_EQ(std::memcmp(got[t][i].data(), want[i].data(),
+                            want[i].size() * sizeof(cplx)),
+                0)
+          << "thread " << t << ", result " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
